@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from ...errors import CodegenError
 from ...mcc import ast as A
+from ...mcc.monoids import agg_components, agg_offsets
 from ..physical import (
     PhysExprScan,
     PhysFilter,
@@ -117,6 +118,15 @@ def _contains_comprehension(expr) -> bool:
     return any(_contains_comprehension(c) for c in expr.children())
 
 
+def _is_pair(expr) -> bool:
+    """A literal (key, value) pair: the ordering monoid's head shape."""
+    return isinstance(expr, A.ListLit) and len(expr.items) == 2
+
+
+def _non_null_const(expr) -> bool:
+    return isinstance(expr, A.Const) and expr.value is not None
+
+
 class _ChunkCtx:
     """Per-chunk emitted state: the (possibly selection-compacted) column
     list variable, whole-element variable, and surviving-row count."""
@@ -175,15 +185,16 @@ def _row_iter(ctx: _ChunkCtx) -> tuple[str, str, bool]:
 
 class _FoldRegion:
     """Root-reduce parallel region: workers fold partial accumulators; the
-    coordinator merges them through the output monoid's merge."""
+    coordinator merges them through the output monoid's merge. ``name`` is
+    the specialised fold's name, None for a generic monoid object."""
 
-    def __init__(self, monoid_name: str, generic: bool):
-        self.name = monoid_name if not generic else None
+    def __init__(self, name: str | None):
+        self.name = name
 
     def result_vars(self) -> list[str]:
         if self.name == "avg":
             return ["_sum", "_cnt"]
-        if self.name in ("bag", "list", "set"):
+        if self.name in ("bag", "list", "set", "orderby"):
             return ["_out"]
         return ["_acc"]
 
@@ -211,7 +222,7 @@ class _FoldRegion:
             w.emit(f"_acc = _acc or {part}[0]")
         elif name == "all":
             w.emit(f"_acc = _acc and {part}[0]")
-        elif name in ("bag", "list"):
+        elif name in ("bag", "list", "orderby"):
             w.emit(f"_out.extend({part}[0])")
         elif name == "set":
             # re-dedup across ordered partials: first occurrence wins, same
@@ -295,7 +306,7 @@ def _emit_fold_init(w: CodeWriter, name: str | None) -> None:
         w.emit("_acc = False")
     elif name == "all":
         w.emit("_acc = True")
-    elif name in ("bag", "list"):
+    elif name in ("bag", "list", "orderby"):
         w.emit("_out = []")
     elif name == "set":
         w.emit("_out = []")
@@ -495,7 +506,13 @@ class QueryCompiler:
             "sum", "count", "prod", "max", "min", "avg", "any", "all",
             "bag", "list", "set",
         )
-        fold_name = name if specialized else None
+        # orderby appends (key, value) pairs like a bag and sorts once at the
+        # end; aggs folds into the product monoid's flat accumulator list
+        # with inlined per-component updates
+        if name in ("orderby", "orderby_desc"):
+            fold_name = "orderby"
+        else:
+            fold_name = name if specialized else None
         if not specialized:
             # generic monoid object: bound once at the coordinator level so
             # morsel workers share it read-only through their closure
@@ -507,7 +524,7 @@ class QueryCompiler:
             if nest is None:
                 # accumulator init moves into the morsel worker; the merge
                 # prologue re-initialises the coordinator's copy
-                self._par_regions[id(driver)] = _FoldRegion(name, not specialized)
+                self._par_regions[id(driver)] = _FoldRegion(fold_name)
             else:
                 # the shard point is the bottom-most nest: workers build
                 # per-key group partials, and everything above the nest —
@@ -520,6 +537,13 @@ class QueryCompiler:
             _emit_fold_init(w, fold_name)
 
         def consume() -> None:
+            if name == "aggs":
+                self._emit_agg_updates("_acc", node.head, mono.params)
+                return
+            if fold_name == "orderby" and _is_pair(node.head):
+                key, val = (compile_expr(e, self.ctx) for e in node.head.items)
+                w.emit(f"_out.append(({key}, {val}))")
+                return
             head = compile_expr(node.head, self.ctx)
             if name == "sum":
                 w.emit(f"_h = {head}")
@@ -556,8 +580,14 @@ class QueryCompiler:
                 with w.block("if _k not in _seen:"):
                     w.emit("_seen.add(_k)")
                     w.emit("_out.append(_h)")
+            elif fold_name == "orderby":
+                w.emit(f"_out.extend(_M.lift({head}))")
+            elif name == "median":
+                w.emit(f"_h = {head}")
+                with w.block("if _h is not None:"):
+                    w.emit("_acc = _M.accumulate(_acc, _h)")
             else:
-                w.emit(f"_acc = _M.merge(_acc, _M.lift({head}))")
+                w.emit(f"_acc = _M.accumulate(_acc, {head})")
 
         # When the root fold consumes a chunked scan directly, the whole
         # reduce vectorizes: one comprehension kernel per chunk instead of a
@@ -565,15 +595,16 @@ class QueryCompiler:
         # interpretation", batch edition). The same fusion applies through a
         # hash join whose probe is a chunked scan: the fold comprehension
         # then spans the matched-selection survivors × build rows.
-        fusible = name in ("count", "sum", "avg", "bag", "list", "max", "min")
+        fusible = name in ("count", "sum", "avg", "bag", "list", "max", "min") \
+            or (fold_name == "orderby" and _is_pair(node.head))
         if fusible:
             if isinstance(node.child, PhysScan):
-                self._fold = (name, node.head)
+                self._fold = (fold_name, node.head)
             elif isinstance(node.child, PhysHashJoin) \
                     and self._sinkable(node.child.probe) \
                     and not _contains_comprehension(node.head) \
                     and not _contains_comprehension(node.child.residual):
-                self._fold = (name, node.head)
+                self._fold = (fold_name, node.head)
         self._emit_node(node.child, consume)
         self._fold = None
 
@@ -582,12 +613,44 @@ class QueryCompiler:
 
         if name in ("bag", "list", "set"):
             w.emit("return _out")
+        elif fold_name == "orderby":
+            w.emit("return _M.finalize(_out)")
         elif name == "avg":
             w.emit("return (_sum / _cnt) if _cnt else None")
         elif name in ("sum", "count", "prod", "max", "min", "any", "all"):
             w.emit("return _acc")
         else:
             w.emit("return _M.finalize(_acc)")
+
+    def _emit_agg_updates(self, acc: str, head: A.ListLit,
+                          params: tuple) -> None:
+        """One row's fold into an ``aggs`` accumulator, inlined per
+        component: SQL NULL rules as straight-line slot updates instead of
+        a generic ``merge(acc, lift(row))`` call."""
+        w = self.w
+        for (_n, kind), off, e in zip(agg_components(params),
+                                      agg_offsets(params), head.items):
+            slot = f"{acc}[{off}]"
+            if kind == "count" and _non_null_const(e):
+                w.emit(f"{slot} += 1")
+                continue
+            w.emit(f"_h = {compile_expr(e, self.ctx)}")
+            with w.block("if _h is not None:"):
+                if kind == "count":
+                    w.emit(f"{slot} += 1")
+                elif kind == "avg":
+                    w.emit(f"{slot} += _h")
+                    w.emit(f"{acc}[{off + 1}] += 1")
+                elif kind == "median":
+                    w.emit(f"{slot}.append(_h)")
+                elif kind == "count_distinct":
+                    w.emit(f"{slot}.add(_h)")
+                elif kind == "sum":
+                    w.emit(f"{slot} = _h if {slot} is None else {slot} + _h")
+                else:
+                    op = "<" if kind == "min" else ">"
+                    with w.block(f"if {slot} is None or _h {op} {slot}:"):
+                        w.emit(f"{slot} = _h")
 
     # -- plan dispatch -----------------------------------------------------------
 
@@ -841,7 +904,7 @@ class QueryCompiler:
     def _emit_fold_tail(self, name: str, comp: str) -> None:
         """Merge one chunk-kernel comprehension into the fold accumulator."""
         w = self.w
-        if name in ("bag", "list"):
+        if name in ("bag", "list", "orderby"):
             w.emit(f"_out.extend({comp})")
             return
         hs = self._next("hs")
@@ -1341,13 +1404,20 @@ class QueryCompiler:
             # the driver scan's worker accumulates into a worker-local copy
             # of ``groups``; the coordinator merges per key in morsel order
             self._par_regions[id(self._nest_driver)] = _NestRegion(groups, mono)
+        product = node.monoid.name == "aggs"
 
         def child_consume():
             keys = ", ".join(compile_expr(e, self.ctx) for _n, e in node.keys)
             trailing = "," if len(node.keys) == 1 else ""
-            head = compile_expr(node.head, self.ctx)
             w.emit(f"_k = ({keys}{trailing})")
             w.emit(f"_g = {groups}.get(_k)")
+            if product:
+                # the zero accumulator as a literal: fresh per new group
+                with w.block("if _g is None:"):
+                    w.emit(f"_g = {groups}[_k] = {node.monoid.zero()!r}")
+                self._emit_agg_updates("_g", node.head, node.monoid.params)
+                return
+            head = compile_expr(node.head, self.ctx)
             with w.block("if _g is None:"):
                 w.emit(f"_g = {mono}.zero()")
             w.emit(f"{groups}[_k] = {mono}.merge(_g, {mono}.lift({head}))")

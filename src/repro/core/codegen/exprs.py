@@ -300,7 +300,13 @@ class _SubqueryEmitter:
                 body.append(f"{pad()}{local} = {compile_expr(q.expr, inner_ctx)}")
                 inner_ctx.bindings[q.var] = ObjectBinding(local)
         head = compile_expr(comp.head, inner_ctx)
-        body.append(f"{pad()}_acc = _m.merge(_acc, _m.lift({head}))")
+        if mono.name in ("sum", "prod", "avg", "max", "min", "median"):
+            # NULL heads are skipped, as in the static engine's subqueries
+            body.append(f"{pad()}_h = {head}")
+            body.append(f"{pad()}if _h is not None:")
+            body.append(f"{pad()}    _acc = _m.accumulate(_acc, _h)")
+        else:
+            body.append(f"{pad()}_acc = _m.accumulate(_acc, {head})")
         lines.extend(body)
         lines.append("return _m.finalize(_acc)")
         self.ctx.counter = inner_ctx.counter

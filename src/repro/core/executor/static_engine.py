@@ -70,7 +70,7 @@ def rekey_shared(plan: PhysReduce, shared_by_index: dict) -> dict:
 # Expression interpreter
 # ---------------------------------------------------------------------------
 
-_NUMERIC_SKIP_NULL = ("sum", "prod", "avg", "max", "min")
+_NUMERIC_SKIP_NULL = ("sum", "prod", "avg", "max", "min", "median")
 
 
 def eval_expr(expr: A.Expr, env: Env, rt) -> object:
@@ -207,7 +207,7 @@ def _eval_comprehension(comp: A.Comprehension, env: Env, rt):
             head = eval_expr(comp.head, scope, rt)
             if skip_null and head is None:
                 return
-            acc = m.merge(acc, m.lift(head))
+            acc = m.accumulate(acc, head)
             return
         q = qualifiers[0]
         rest = qualifiers[1:]
@@ -258,7 +258,7 @@ class StaticExecutor:
             if m.name == "count":
                 acc = m.merge(acc, 1)
             else:
-                acc = m.merge(acc, m.lift(head))
+                acc = m.accumulate(acc, head)
         return m.finalize(acc)
 
     def _execute_parallel(self, plan: PhysReduce, rt, driver: PhysScan):
@@ -340,7 +340,7 @@ class StaticExecutor:
                 if m.name == "count":
                     acc = m.merge(acc, 1)
                 else:
-                    acc = m.merge(acc, m.lift(head))
+                    acc = m.accumulate(acc, head)
             return m.finalize(acc)
         acc = m.zero()
         for pacc, _pop in partials:
@@ -356,18 +356,10 @@ class StaticExecutor:
         pop: dict = {"columns": {}, "whole": []}
         nest = chain_nest(plan)
         if nest is not None:
-            gm = nest.monoid
             groups: dict = {}
             for env in self._iter(nest.child, rt, split=split, shared=shared,
                                   pop=pop):
-                key = tuple(hashable(eval_expr(e, env, rt))
-                            for _n, e in nest.keys)
-                raw_key = tuple(eval_expr(e, env, rt) for _n, e in nest.keys)
-                acc, _raw = groups.get(key, (gm.zero(), raw_key))
-                groups[key] = (
-                    gm.merge(acc, gm.lift(eval_expr(nest.head, env, rt))),
-                    raw_key,
-                )
+                _fold_group(groups, nest, env, rt)
             return groups, pop
         m = plan.monoid
         skip_null = m.name in _NUMERIC_SKIP_NULL
@@ -380,7 +372,7 @@ class StaticExecutor:
             if m.name == "count":
                 acc = m.merge(acc, 1)
             else:
-                acc = m.merge(acc, m.lift(head))
+                acc = m.accumulate(acc, head)
         return acc, pop
 
     def _prebuild_chain(self, node: PhysNode, rt, shared: dict) -> None:
@@ -480,10 +472,7 @@ class StaticExecutor:
             if groups is None:
                 groups = {}
                 for env in self._iter(node.child, rt, split, shared, pop):
-                    key = tuple(hashable(eval_expr(e, env, rt)) for _n, e in node.keys)
-                    raw_key = tuple(eval_expr(e, env, rt) for _n, e in node.keys)
-                    acc, _raw = groups.get(key, (m.zero(), raw_key))
-                    groups[key] = (m.merge(acc, m.lift(eval_expr(node.head, env, rt))), raw_key)
+                    _fold_group(groups, node, env, rt)
             for _key, (acc, raw_key) in groups.items():
                 record = {name: raw_key[i] for i, (name, _e) in enumerate(node.keys)}
                 record[node.agg_name] = m.finalize(acc)
@@ -675,6 +664,16 @@ class StaticExecutor:
                 yield from kept
             return
         raise ExecutionError(f"no interpreted scan for format {fmt!r}")
+
+
+def _fold_group(groups: dict, nest: PhysNest, env: Env, rt) -> None:
+    """Fold one row into its group's ``[accumulator, raw key]`` entry."""
+    raw_key = tuple(eval_expr(e, env, rt) for _n, e in nest.keys)
+    key = tuple(hashable(k) for k in raw_key)
+    entry = groups.get(key)
+    if entry is None:
+        entry = groups[key] = [nest.monoid.zero(), raw_key]
+    entry[0] = nest.monoid.accumulate(entry[0], eval_expr(nest.head, env, rt))
 
 
 def _interpreted_pred_kernel(node: PhysScan, pred: A.Expr, rt):

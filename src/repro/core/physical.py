@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..mcc import ast as A
+from ..mcc.algebra import GROUP_FIELD
 from ..mcc.monoids import Monoid
 from .chunk import DEFAULT_BATCH_SIZE
 
@@ -268,7 +269,7 @@ class PhysNest(PhysNode):
     monoid: Monoid
     head: A.Expr
     group_var: str
-    agg_name: str = "group"
+    agg_name: str = GROUP_FIELD
 
     def children(self):
         return (self.child,)
@@ -437,12 +438,14 @@ def explain_physical(node: PhysNode, indent: int = 0) -> str:
     if isinstance(node, PhysNest):
         keys = ", ".join(f"{n}={pretty(e)}" for n, e in node.keys)
         return (
-            f"{pad}Nest[{keys}; {node.monoid.name} {pretty(node.head)} as {node.group_var}]\n"
+            f"{pad}Nest[{keys}; {node.monoid.describe()} "
+            f"{pretty(node.head)} as {node.group_var}]\n"
             + explain_physical(node.child, indent + 1)
         )
     if isinstance(node, PhysReduce):
         return (
-            f"{pad}Reduce[{node.monoid.name} {pretty(node.head)}]\n"
+            f"{pad}Reduce[{node.monoid.describe()} "
+            f"{pretty(node.head)}]\n"
             + explain_physical(node.child, indent + 1)
         )
     raise TypeError(f"cannot explain {type(node).__name__}")

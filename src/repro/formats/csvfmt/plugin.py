@@ -109,7 +109,13 @@ class CSVSource:
         self.posmap = PositionalMap(len(self.columns), self.options.delimiter,
                                     stride=posmap_stride)
         self.col_index = {name: i for i, name in enumerate(self.columns)}
-        self._data_start = self._header_length()
+        with open(self.path, "rb") as fh:
+            first = fh.readline()
+        self._data_start = len(first) if self.options.header else 0
+        # the line terminator, judged once from the first line: on CRLF
+        # files every read path drops the ``\r`` before a line is split or
+        # navigated, so LF files pay nothing per field
+        self._crlf = first.endswith(b"\r\n")
         # serialises posmap adoption/invalidation when sessions share the
         # plugin (leaf lock; the runtime's catalog source lock orders it
         # against generation bumps)
@@ -117,12 +123,11 @@ class CSVSource:
 
     # -- schema ----------------------------------------------------------------
 
-    def _header_length(self) -> int:
-        if not self.options.header:
-            return 0
-        with open(self.path, "rb") as fh:
-            first = fh.readline()
-        return len(first)
+    def _decode(self, line_bytes: bytes) -> str:
+        """One raw line (``\\n`` already split off) as text."""
+        if self._crlf and line_bytes.endswith(b"\r"):
+            line_bytes = line_bytes[:-1]
+        return line_bytes.decode(self.options.encoding)
 
     def _infer_schema(self) -> tuple[list[str], list[str]]:
         opts = self.options
@@ -221,14 +226,13 @@ class CSVSource:
         partial.begin_population(anchors)
         convs = [self.converter(c) for c in cols]
         delim = self.options.delimiter
-        encoding = self.options.encoding
         validate = clean is not None and getattr(clean, "validate_always", False)
         with RawFile(self.path, device=device) as raw:
             row = 0
             for offset, line_bytes in raw.iter_lines():
                 if offset < self._data_start:
                     continue
-                line = line_bytes.decode(encoding)
+                line = self._decode(line_bytes)
                 if not line:
                     continue
                 partial.record_row(offset, line, anchors)
@@ -259,14 +263,13 @@ class CSVSource:
         """Map-navigated scan: jump to recorded field offsets, no full split."""
         convs = [self.converter(c) for c in cols]
         pm = self.posmap
-        encoding = self.options.encoding
         validate = clean is not None and getattr(clean, "validate_always", False)
         with RawFile(self.path, device=device) as raw:
             row = 0
             for offset, line_bytes in raw.iter_lines():
                 if offset < self._data_start:
                     continue
-                line = line_bytes.decode(encoding)
+                line = self._decode(line_bytes)
                 if not line:
                     continue
                 if validate:
@@ -341,6 +344,7 @@ class CSVSource:
         partial maps); default is the source's own map.
         """
         encoding = self.options.encoding
+        crlf = self._crlf
         record_map = record_map if record_map is not None else self.posmap
         record = record_map.record_row if record_anchors is not None else None
         if byte_range is None:
@@ -375,6 +379,8 @@ class CSVSource:
                     if line_start >= hi:
                         done = True
                         break
+                    if crlf and line_bytes.endswith(b"\r"):
+                        line_bytes = line_bytes[:-1]
                     line = line_bytes.decode(encoding)
                     if not line:
                         continue
@@ -388,7 +394,7 @@ class CSVSource:
                         batch = []
             if carry and not done and not skip_first and pos < hi:
                 # trailing line without a final newline starts at ``pos``
-                line = carry.decode(encoding)
+                line = self._decode(carry)
                 if line:
                     if record is not None:
                         record(pos, line, record_anchors)
@@ -792,9 +798,9 @@ class CSVSource:
         with RawFile(self.path, device=device) as raw:
             if end is None:
                 raw.seek(start)
-                line = raw.read().split(b"\n", 1)[0].decode(self.options.encoding)
+                line = self._decode(raw.read().split(b"\n", 1)[0])
             else:
-                line = raw.read_at(start, end - start).decode(self.options.encoding)
+                line = self._decode(raw.read_at(start, end - start))
         return tuple(conv(self.posmap.field_in_line(line, row, c))
                      for c, conv in zip(cols, convs))
 
@@ -814,19 +820,17 @@ class CSVSource:
         convs = [self.converter(c) for c in cols]
         offsets = self.posmap.row_offsets
         nrows = len(offsets)
-        encoding = self.options.encoding
         out: list[list] = [[] for _ in cols]
         pmf = self.posmap.field_in_line
         with RawFile(self.path, device=device) as raw:
             for row in rows:
                 start = offsets[row]
                 if row + 1 < nrows:
-                    line = raw.read_at(
-                        start, offsets[row + 1] - 1 - start
-                    ).decode(encoding)
+                    line = self._decode(
+                        raw.read_at(start, offsets[row + 1] - 1 - start))
                 else:
                     raw.seek(start)
-                    line = raw.read().split(b"\n", 1)[0].decode(encoding)
+                    line = self._decode(raw.read().split(b"\n", 1)[0])
                 for k, (c, conv) in enumerate(zip(cols, convs)):
                     out[k].append(conv(pmf(line, row, c)))
         return out

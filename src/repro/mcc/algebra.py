@@ -127,11 +127,16 @@ class OuterUnnestOp(AlgNode):
         return self.child.bound_vars() + (self.var,)
 
 
+#: field of a Nest group record that holds the group's folded value
+GROUP_FIELD = "group"
+
+
 @dataclass(frozen=True)
 class NestOp(AlgNode):
     """Group by ``keys``; fold ``head`` of each group through ``monoid``.
 
-    Binds ``group_var`` to a record ⟨key..., group⟩ for ancestors.
+    Binds ``group_var`` to a record ⟨key..., group⟩ for ancestors, the
+    folded value under :data:`GROUP_FIELD`.
     """
 
     child: AlgNode
@@ -187,12 +192,14 @@ def explain(node: AlgNode, indent: int = 0) -> str:
     if isinstance(node, NestOp):
         keys = ", ".join(f"{n}={pretty(e)}" for n, e in node.keys)
         return (
-            f"{pad}Nest[{keys}; {node.monoid.name} {pretty(node.head)} as {node.group_var}]\n"
+            f"{pad}Nest[{keys}; {node.monoid.describe()} "
+            f"{pretty(node.head)} as {node.group_var}]\n"
             + explain(node.child, indent + 1)
         )
     if isinstance(node, ReduceOp):
         return (
-            f"{pad}Reduce[{node.monoid.name} {pretty(node.head)}]\n"
+            f"{pad}Reduce[{node.monoid.describe()} "
+            f"{pretty(node.head)}]\n"
             + explain(node.child, indent + 1)
         )
     raise TypeError(f"cannot explain {type(node).__name__}")

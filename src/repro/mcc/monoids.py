@@ -52,6 +52,9 @@ class Monoid:
     collection: bool = False
     kind: str | None = None
     params: tuple = ()
+    #: optional in-place fold step ``(acc, element) -> acc`` for monoids
+    #: whose ``merge(acc, lift(x))`` would copy the accumulator per element
+    step: Callable[[Any, Any], Any] | None = None
 
     def __eq__(self, other) -> bool:
         """Identity by (name, params): parameterised monoids constructed
@@ -70,15 +73,31 @@ class Monoid:
         inside kernel specs."""
         return (get_monoid, (self.name, self.params))
 
+    def describe(self) -> str:
+        """EXPLAIN rendering: the name plus every parameter — plans that
+        differ only in a parameter must never share a compiled function."""
+        if self.name == "aggs":
+            return "aggs(" + ", ".join(
+                f"{n}:{k}" for n, k in agg_components(self.params)) + ")"
+        if self.params:
+            return f"{self.name}({', '.join(map(repr, self.params))})"
+        return self.name
+
     def unit(self, value: Any) -> Any:
         """Build a singleton accumulator ``U⊕(value)``."""
         return self.merge(self.zero(), self.lift(value))
+
+    def accumulate(self, acc: Any, value: Any) -> Any:
+        """Fold one element into an accumulator the caller owns."""
+        if self.step is not None:
+            return self.step(acc, value)
+        return self.merge(acc, self.lift(value))
 
     def fold(self, values) -> Any:
         """Fold an iterable through the monoid and finalize the result."""
         acc = self.zero()
         for v in values:
-            acc = self.merge(acc, self.lift(v))
+            acc = self.accumulate(acc, v)
         return self.finalize(acc)
 
     def result_type(self, elem: T.Type) -> T.Type:
@@ -95,7 +114,16 @@ class Monoid:
             return T.BOOL
         if self.name == "topk":
             return T.CollectionType("list", elem)
+        if self.name == "aggs":
+            return T.RecordType(tuple(
+                (name, _AGG_TYPES.get(kind, T.ANY))
+                for name, kind in agg_components(self.params)))
         return elem
+
+
+def _append(acc: list, x: Any) -> list:
+    acc.append(x)
+    return acc
 
 
 def _bag_merge(a: list, b: list) -> list:
@@ -192,12 +220,14 @@ def _median_finalize(values: list) -> Any:
 
 
 MEDIAN = Monoid("median", zero=list, lift=lambda x: [x], merge=_bag_merge,
-                finalize=_median_finalize, commutative=True)
+                finalize=_median_finalize, commutative=True, step=_append)
 
 BAG = Monoid("bag", zero=list, lift=lambda x: [x], merge=_bag_merge,
-             finalize=lambda a: a, commutative=True, collection=True, kind="bag")
+             finalize=lambda a: a, commutative=True, collection=True, kind="bag",
+             step=_append)
 LIST = Monoid("list", zero=list, lift=lambda x: [x], merge=_bag_merge,
-              finalize=lambda a: a, commutative=False, collection=True, kind="list")
+              finalize=lambda a: a, commutative=False, collection=True,
+              kind="list", step=_append)
 SET = Monoid("set", zero=_set_zero, lift=_set_lift,
              merge=lambda a, b: a.merge(b),
              finalize=lambda a: a.values(), commutative=True, idempotent=True,
@@ -240,20 +270,180 @@ def make_topk(k: int) -> Monoid:
                   commutative=True, collection=False, params=(k,))
 
 
-def make_orderby(descending: bool = False) -> Monoid:
-    """The ordering monoid: collects (key, value) pairs, yields values sorted by key."""
+def _orderby_key(pair: tuple) -> tuple:
+    """Sort key of one (key, value) pair: NULL keys order below every value,
+    so they come first ascending and last descending, as in SQLite."""
+    return (pair[0] is not None, pair[0])
 
-    def lift(x: Any) -> list:
-        if isinstance(x, (tuple, list)) and len(x) == 2:
-            return [(x[0], x[1])]
-        return [(x, x)]
+
+def _orderby_lift(x: Any) -> list:
+    if isinstance(x, (tuple, list)) and len(x) == 2:
+        return [(x[0], x[1])]
+    return [(x, x)]
+
+
+def make_orderby(descending: bool = False, limit: int | None = None) -> Monoid:
+    """The ordering monoid: collects (key, value) pairs, yields values sorted by key.
+
+    The accumulator is the flat list of pairs, appended per element and
+    sorted once at ``finalize``. With a ``limit`` (SQL ``LIMIT k``) only the
+    k best pairs survive, via ``heapq.nsmallest``/``nlargest`` — documented
+    equal to ``sorted(...)[:k]``, ties included, so LIMIT keeps exactly the
+    rows a full sort would. NULL keys sort first ascending, last descending.
+    """
+
+    def step(acc: list, x: Any) -> list:
+        acc.extend(_orderby_lift(x))
+        return acc
 
     def finalize(acc: list) -> list:
-        return [v for _k, v in sorted(acc, key=lambda kv: kv[0], reverse=descending)]
+        if limit is not None:
+            best = heapq.nlargest if descending else heapq.nsmallest
+            pairs = best(limit, acc, key=_orderby_key)
+        else:
+            pairs = sorted(acc, key=_orderby_key, reverse=descending)
+        return [v for _k, v in pairs]
 
     name = "orderby_desc" if descending else "orderby"
-    return Monoid(name, zero=list, lift=lift, merge=_bag_merge, finalize=finalize,
-                  commutative=True, params=(descending,))
+    return Monoid(name, zero=list, lift=_orderby_lift, merge=_bag_merge,
+                  finalize=finalize, commutative=True,
+                  params=(descending, limit), step=step)
+
+
+# -- the product monoid of SQL aggregates ------------------------------------
+#
+# ``aggs`` folds every aggregate of one SELECT block in a single pass: its
+# accumulator is one flat list holding each component's slots side by side
+# (``avg`` takes two: sum and count). Components follow SQL's NULL rules:
+# NULL inputs are skipped; ``count`` counts non-NULL inputs (``count(*)``
+# feeds a constant); ``sum``/``avg``/``min``/``max``/``median`` finalize to
+# NULL when they saw no non-NULL input; ``count_distinct`` keeps a set.
+
+#: slots each component occupies in the flat accumulator
+AGG_SLOTS = {"count": 1, "count_distinct": 1, "sum": 1, "avg": 2, "min": 1,
+             "max": 1, "median": 1}
+_AGG_TYPES = {"count": T.INT, "count_distinct": T.INT, "avg": T.FLOAT}
+
+
+def agg_components(params: tuple) -> list[tuple[str, str]]:
+    """``(field, kind)`` per component; a bare kind is named ``agg{i}``."""
+    out = []
+    for i, p in enumerate(params):
+        name, kind = (f"agg{i}", p) if isinstance(p, str) else p
+        if kind not in AGG_SLOTS:
+            raise KeyError(f"unknown aggregate component {kind!r}")
+        out.append((name, kind))
+    return out
+
+
+def agg_offsets(params: tuple) -> list[int]:
+    """First accumulator slot of each component."""
+    offsets, pos = [], 0
+    for _name, kind in agg_components(params):
+        offsets.append(pos)
+        pos += AGG_SLOTS[kind]
+    return offsets
+
+
+def _agg_zero_slots(kind: str) -> list:
+    if kind in ("count", "avg"):
+        return [0] * AGG_SLOTS[kind]
+    if kind == "median":
+        return [[]]
+    if kind == "count_distinct":
+        return [set()]
+    return [None]
+
+
+def _agg_merge_slot(kind: str, a: list, b: list, i: int, out: list) -> None:
+    x, y = a[i], b[i]
+    if kind in ("count", "avg"):
+        out.append(x + y)
+        if kind == "avg":
+            out.append(a[i + 1] + b[i + 1])
+    elif kind == "median":
+        out.append(x + y)
+    elif kind == "count_distinct":
+        out.append(x | y)
+    elif x is None or y is None:
+        out.append(y if x is None else x)
+    elif kind == "sum":
+        out.append(x + y)
+    elif kind == "min":
+        out.append(x if x <= y else y)
+    else:
+        out.append(x if x >= y else y)
+
+
+def _agg_step_slot(kind: str, acc: list, i: int, v: Any) -> None:
+    if v is None:
+        return
+    if kind == "count":
+        acc[i] += 1
+    elif kind == "avg":
+        acc[i] += v
+        acc[i + 1] += 1
+    elif kind == "median":
+        acc[i].append(v)
+    elif kind == "count_distinct":
+        acc[i].add(v)
+    elif acc[i] is None:
+        acc[i] = v
+    elif kind == "sum":
+        acc[i] += v
+    elif (v < acc[i]) if kind == "min" else (v > acc[i]):
+        acc[i] = v
+
+
+def _agg_final_slot(kind: str, acc: list, i: int) -> Any:
+    if kind == "avg":
+        return acc[i] / acc[i + 1] if acc[i + 1] else None
+    if kind == "median":
+        return _median_finalize(acc[i])
+    if kind == "count_distinct":
+        return len(acc[i])
+    return acc[i]
+
+
+def make_aggs(params: tuple) -> Monoid:
+    """The product monoid of SQL aggregates (see the block comment above).
+
+    ``lift`` takes one tuple of component inputs; ``merge`` works component
+    by component; ``finalize`` returns the record of component results.
+
+    >>> m = get_monoid("aggs", (("n", "count"), ("s", "sum"), ("a", "avg")))
+    >>> m.fold([(1, 2, 2), (1, None, 4)])
+    {'n': 2, 's': 2, 'a': 3.0}
+    """
+    comps = agg_components(params)
+    kinds = [kind for _name, kind in comps]
+    offsets = agg_offsets(params)
+    plan = list(zip(kinds, offsets))
+
+    def zero() -> list:
+        out: list = []
+        for kind in kinds:
+            out.extend(_agg_zero_slots(kind))
+        return out
+
+    def step(acc: list, inputs) -> list:
+        for (kind, i), v in zip(plan, inputs):
+            _agg_step_slot(kind, acc, i, v)
+        return acc
+
+    def merge(a: list, b: list) -> list:
+        out: list = []
+        for kind, i in plan:
+            _agg_merge_slot(kind, a, b, i, out)
+        return out
+
+    def finalize(acc: list) -> dict:
+        return {name: _agg_final_slot(kind, acc, i)
+                for (name, _k), (kind, i) in zip(comps, plan)}
+
+    return Monoid("aggs", zero=zero, lift=lambda x: step(zero(), x),
+                  merge=merge, finalize=finalize, commutative=True,
+                  params=tuple(params), step=step)
 
 
 _REGISTRY: dict[str, Monoid] = {
@@ -279,7 +469,10 @@ def get_monoid(name: str, params: tuple = ()) -> Monoid:
             raise KeyError("topk requires one parameter: k")
         return make_topk(int(params[0]))
     if name in ("orderby", "orderby_desc"):
-        return make_orderby(descending=name.endswith("desc"))
+        return make_orderby(descending=name.endswith("desc"),
+                            limit=params[1] if len(params) > 1 else None)
+    if name == "aggs":
+        return make_aggs(tuple(params))
     try:
         return _REGISTRY[name]
     except KeyError:

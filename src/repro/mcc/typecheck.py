@@ -14,6 +14,7 @@ from __future__ import annotations
 from ..errors import TypeCheckError
 from . import ast as A
 from . import types as T
+from .monoids import agg_components
 
 _NUMERIC_OPS = ("+", "-", "*", "/", "%")
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -218,16 +219,27 @@ class TypeChecker:
                 inner[q.var] = self._check(q.expr, inner)
         head_t = self._check(comp.head, inner)
         mono = comp.monoid
-        if not mono.collection and mono.name in ("sum", "prod", "avg", "max", "min", "median"):
-            if not isinstance(head_t, T.AnyType) and not head_t.is_numeric():
-                if mono.name not in ("max", "min") or head_t != T.STRING:
-                    raise TypeCheckError(
-                        f"monoid {mono.name!r} needs a numeric head, got {head_t}"
-                    )
+        if mono.name == "aggs" and isinstance(comp.head, A.ListLit):
+            # the product monoid: each component input is checked like the
+            # head of its own primitive monoid
+            for (_n, kind), item in zip(agg_components(mono.params),
+                                        comp.head.items):
+                _check_fold_input(kind, self._check(item, inner))
+        elif not mono.collection:
+            _check_fold_input(mono.name, head_t)
         if mono.name in ("all", "any") and not isinstance(head_t, T.AnyType):
             if head_t != T.BOOL:
                 raise TypeCheckError(f"monoid {mono.name!r} needs a bool head, got {head_t}")
         return mono.result_type(head_t)
+
+
+def _check_fold_input(name: str, t: T.Type) -> None:
+    """Numeric folds need numbers; ``max``/``min`` also order strings."""
+    if name not in ("sum", "prod", "avg", "max", "min", "median") \
+            or isinstance(t, T.AnyType) or t.is_numeric():
+        return
+    if name not in ("max", "min") or t != T.STRING:
+        raise TypeCheckError(f"monoid {name!r} needs a numeric head, got {t}")
 
 
 def typecheck(expr: A.Expr, env: dict[str, T.Type] | None = None) -> T.Type:

@@ -1,8 +1,9 @@
 """PhysNest (hash-based grouping) through both executors.
 
 NestOp/PhysNest is the algebra's grouping form; it is exercised here with
-directly-constructed plans (the SQL layer currently encodes GROUP BY as
-correlated comprehensions — see languages/sql/translate.py).
+directly-constructed plans over primitive monoids. SQL GROUP BY reaches it
+through the unnesting in mcc/translate.py, with the ``aggs`` product monoid
+(tests/sql/test_grouped_fold.py).
 """
 
 import pytest

@@ -160,3 +160,76 @@ def test_subsumes_rules():
     assert subsumes(LIST, LIST)
     # non-collection inner never unnests
     assert not subsumes(SUM, SUM)
+
+
+# -- the aggs product monoid ---------------------------------------------------
+
+_AGGS = get_monoid("aggs", (("n", "count"), ("d", "count_distinct"),
+                            ("s", "sum"), ("a", "avg"), ("lo", "min"),
+                            ("hi", "max"), ("m", "median")))
+_cell = st.one_of(st.none(), st.integers(min_value=-20, max_value=20))
+_inputs = st.lists(st.tuples(*[_cell] * 7), max_size=6)
+
+
+def _aggs_fold(rows):
+    acc = _AGGS.zero()
+    for row in rows:
+        acc = _AGGS.merge(acc, _AGGS.lift(row))
+    return acc
+
+
+@given(a=_inputs, b=_inputs, c=_inputs)
+@settings(max_examples=60, deadline=None)
+def test_aggs_monoid_laws(a, b, c):
+    fa, fb, fc = _aggs_fold(a), _aggs_fold(b), _aggs_fold(c)
+    whole = _AGGS.finalize(fa)
+    assert _AGGS.finalize(_AGGS.merge(_AGGS.zero(), fa)) == whole
+    assert _AGGS.finalize(_AGGS.merge(fa, _AGGS.zero())) == whole
+    assert _AGGS.finalize(_AGGS.merge(_AGGS.merge(fa, fb), fc)) == \
+        _AGGS.finalize(_AGGS.merge(fa, _AGGS.merge(fb, fc)))
+    assert _AGGS.finalize(_AGGS.merge(fa, fb)) == \
+        _AGGS.finalize(_AGGS.merge(fb, fa))
+    # the in-place step folds to the same accumulator as merge(lift)
+    assert _AGGS.fold(a) == whole
+
+
+@given(rows=_inputs)
+@settings(max_examples=60, deadline=None)
+def test_aggs_components_follow_sql_null_rules(rows):
+    out = _AGGS.fold(rows)
+    cols = [[r[i] for r in rows if r[i] is not None] for i in range(7)]
+    assert out["n"] == len(cols[0])
+    assert out["d"] == len(set(cols[1]))
+    assert out["s"] == (sum(cols[2]) if cols[2] else None)
+    assert out["a"] == (sum(cols[3]) / len(cols[3]) if cols[3] else None)
+    assert out["lo"] == (min(cols[4]) if cols[4] else None)
+    assert out["hi"] == (max(cols[5]) if cols[5] else None)
+    assert out["m"] == get_monoid("median").fold(cols[6])
+
+
+def test_aggs_pickles_by_name_and_params():
+    import pickle
+
+    clone = pickle.loads(pickle.dumps(_AGGS))
+    assert clone == _AGGS
+    assert clone.fold([(1,) * 7]) == _AGGS.fold([(1,) * 7])
+    assert get_monoid("aggs", ("count", "sum")).fold([(1, 2)]) == \
+        {"agg0": 1, "agg1": 2}
+    assert _AGGS.describe().startswith("aggs(n:count, d:count_distinct")
+    with pytest.raises(KeyError):
+        get_monoid("aggs", ("bogus",))
+
+
+@given(pairs=st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 5)),
+                                st.integers()), max_size=12),
+       k=st.integers(1, 6), descending=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_orderby_limit_is_sorted_prefix_nulls_low(pairs, k, descending):
+    def key(p):
+        return (p[0] is not None, p[0])
+
+    full = [v for _k, v in sorted(pairs, key=key, reverse=descending)]
+    assert make_orderby(descending).fold(pairs) == full
+    assert make_orderby(descending, limit=k).fold(pairs) == full[:k]
+    assert get_monoid("orderby_desc" if descending else "orderby",
+                      (descending, k)).fold(pairs) == full[:k]
